@@ -80,6 +80,27 @@ func TestFig5cWordCountIOBound(t *testing.T) {
 			t.Errorf("WordCount speedup %s = %.2f outside the I/O-bound band", row[0], sp)
 		}
 	}
+	e, _ := ByID("fig5c")
+	if err := e.Check(tbl); err != nil {
+		t.Errorf("fig5c check rejected its own table: %v", err)
+	}
+	if err := e.Check(&Table{}); err == nil {
+		t.Error("fig5c check accepted an empty table")
+	}
+	drift := func(col int, cell string) *Table {
+		bad := &Table{}
+		for _, row := range tbl.Rows {
+			bad.Rows = append(bad.Rows, append([]string(nil), row...))
+		}
+		bad.Rows[len(bad.Rows)-1][col] = cell
+		return bad
+	}
+	if err := e.Check(drift(1, "80.60s")); err == nil {
+		t.Error("fig5c check accepted a Flink makespan 1.1% off its pin")
+	}
+	if err := e.Check(drift(2, "62.60s")); err == nil {
+		t.Error("fig5c check accepted a GFlink makespan 1.1% off its pin")
+	}
 }
 
 func TestFig6aSpMVGrowsToPaperBand(t *testing.T) {

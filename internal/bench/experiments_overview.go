@@ -90,6 +90,7 @@ func init() {
 			}
 			return t
 		},
+		Check: checkFig5c,
 	})
 
 	register(&Experiment{
@@ -151,4 +152,45 @@ func growthWord(first, last float64) string {
 		return "speedup grows with input size (Observation 3)"
 	}
 	return "WARNING: speedup did not grow with input size"
+}
+
+// fig5cPinned is each fig5c input size's simulated makespan in seconds
+// (Flink CPU, GFlink). Scales 1 and 8 differ by about 10 ms, well
+// inside the ±1% band.
+var fig5cPinned = map[string][2]float64{
+	"24": {30.77, 23.74},
+	"32": {40.50, 31.11},
+	"40": {57.39, 45.66},
+	"48": {68.54, 45.87},
+	"56": {79.69, 63.27},
+}
+
+// checkFig5c pins both makespans of every input size within ±1% and
+// the verdict: GFlink wins at every size, but by under 2x, because the
+// one-pass job is I/O bound.
+func checkFig5c(t *Table) error {
+	if len(t.Rows) != len(fig5cPinned) {
+		return fmt.Errorf("fig5c: want %d rows, got %d", len(fig5cPinned), len(t.Rows))
+	}
+	for _, row := range t.Rows {
+		pin, ok := fig5cPinned[row[0]]
+		if !ok {
+			return fmt.Errorf("fig5c: unpinned input size %s GB", row[0])
+		}
+		var got [2]float64
+		for i, name := range []string{"Flink(CPU)", "GFlink"} {
+			v, err := parseSeconds(row[1+i])
+			if err != nil {
+				return err
+			}
+			if v < pin[i]*0.99 || v > pin[i]*1.01 {
+				return fmt.Errorf("fig5c: %s at %s GB = %.2fs, pinned band is %.2fs ±1%%", name, row[0], v, pin[i])
+			}
+			got[i] = v
+		}
+		if sp := got[0] / got[1]; sp <= 1 || sp >= 2 {
+			return fmt.Errorf("fig5c: speedup at %s GB = %.2fx, want GFlink ahead by under 2x (I/O bound)", row[0], sp)
+		}
+	}
+	return nil
 }

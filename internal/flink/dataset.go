@@ -1,9 +1,12 @@
 package flink
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"gflink/internal/costmodel"
 	"gflink/internal/vclock"
@@ -271,31 +274,100 @@ func FlatMap[T, U any](d *Dataset[T], name string, perRec costmodel.Work, outByt
 
 func (d *Dataset[T]) workerOf(p int) int { return d.parts[p].Worker }
 
-// hashKey maps any comparable key to a deterministic 64-bit hash.
+// FNV-64a parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv64a hashes b with FNV-64a.
+func fnv64a[B string | []byte](b B) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// hashKey maps any comparable key to a deterministic 64-bit hash:
+// FNV-64a over the key's %v rendering. Strings and the built-in
+// integer types hash those bytes directly (strconv renders an integer
+// exactly as %v does), with no hasher object and no fmt call. Every
+// other type takes the fmt path — including named types, which may
+// carry a String method that %v honours.
 func hashKey[K comparable](k K) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", k)
-	return h.Sum64()
+	var buf [24]byte
+	var b []byte
+	switch v := any(k).(type) {
+	case string:
+		return fnv64a(v)
+	case int:
+		b = strconv.AppendInt(buf[:0], int64(v), 10)
+	case int8:
+		b = strconv.AppendInt(buf[:0], int64(v), 10)
+	case int16:
+		b = strconv.AppendInt(buf[:0], int64(v), 10)
+	case int32:
+		b = strconv.AppendInt(buf[:0], int64(v), 10)
+	case int64:
+		b = strconv.AppendInt(buf[:0], v, 10)
+	case uint:
+		b = strconv.AppendUint(buf[:0], uint64(v), 10)
+	case uint8:
+		b = strconv.AppendUint(buf[:0], uint64(v), 10)
+	case uint16:
+		b = strconv.AppendUint(buf[:0], uint64(v), 10)
+	case uint32:
+		b = strconv.AppendUint(buf[:0], uint64(v), 10)
+	case uint64:
+		b = strconv.AppendUint(buf[:0], v, 10)
+	default:
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%v", k)
+		return h.Sum64()
+	}
+	return fnv64a(b)
 }
 
-// sortKeys puts arbitrary comparable keys into a canonical order: by
-// deterministic hash, ties broken by formatted representation. Group-by
-// operators emit in this order so workload results are byte-stable
-// across runs — insertion order would be deterministic too, but would
-// change whenever an upstream operator reorders its output, and the
-// reproduced figures hash entire result sets.
-func sortKeys[K comparable](keys []K) {
-	sort.Slice(keys, func(i, j int) bool {
-		hi, hj := hashKey(keys[i]), hashKey(keys[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j])
-	})
+// hashedKey is a key decorated with its hashKey.
+type hashedKey[K comparable] struct {
+	h uint64
+	k K
 }
 
-// shuffleCost charges sender-side serialization and performs the
-// network exchange for a partition-to-partition byte matrix.
+// compareHashed is the canonical key order: by hash, ties (distinct
+// keys whose hashes collide) broken by formatted representation.
+func compareHashed[K comparable](a, b hashedKey[K]) int {
+	if a.h != b.h {
+		return cmp.Compare(a.h, b.h)
+	}
+	return strings.Compare(fmt.Sprint(a.k), fmt.Sprint(b.k))
+}
+
+// sortKeys puts arbitrary comparable keys into the canonical order in
+// place, hashing each key once, and returns them in that order
+// decorated with their hashes so a caller can route by hash without
+// hashing again. Group-by operators emit in this order so workload
+// results are byte-stable across runs — insertion order would be
+// deterministic too, but would change whenever an upstream operator
+// reorders its output, and the reproduced figures hash entire result
+// sets.
+func sortKeys[K comparable](keys []K) []hashedKey[K] {
+	hk := make([]hashedKey[K], len(keys))
+	for i, k := range keys {
+		hk[i] = hashedKey[K]{h: hashKey(k), k: k}
+	}
+	slices.SortFunc(hk, compareHashed[K])
+	for i := range hk {
+		keys[i] = hk[i].k
+	}
+	return hk
+}
+
+// shuffleExchange performs the network exchange for a
+// partition-to-partition byte matrix, one transfer process per
+// non-empty cell; callers charge serialization.
 func shuffleExchange(j *Job, fromWorker []int, toWorker []int, bytes [][]int64) {
 	g := vclock.NewGroup(j.cluster.Clock)
 	for p := range bytes {
@@ -313,6 +385,22 @@ func shuffleExchange(j *Job, fromWorker []int, toWorker []int, bytes [][]int64) 
 	g.Wait()
 }
 
+// gather concatenates every sender's records for target partition q
+// and sums their nominal counts.
+func gather[T any](outbox [][][]T, outNominal [][]int64, q int) ([]T, int64) {
+	n := 0
+	for p := range outbox {
+		n += len(outbox[p][q])
+	}
+	incoming := make([]T, 0, n)
+	var nominal int64
+	for p := range outbox {
+		incoming = append(incoming, outbox[p][q]...)
+		nominal += outNominal[p][q]
+	}
+	return incoming, nominal
+}
+
 // ReduceByKey groups records by key and combines each group to a single
 // record with the associative combiner. A map-side combine runs before
 // the hash shuffle, as Flink's combinable reduce does, so shuffle
@@ -327,8 +415,8 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 	d.job.runTasks("combine:"+name, nparts, d.workerOf, func(p int, tm *TaskManager) {
 		in := d.parts[p]
 		d.job.ChargeCompute(in.Nominal, perRec)
-		groups := make(map[K]T)
-		order := make([]K, 0)
+		groups := make(map[K]T, len(in.Items))
+		order := make([]K, 0, len(in.Items))
 		for _, v := range in.Items {
 			k := key(v)
 			if prev, ok := groups[k]; ok {
@@ -338,11 +426,10 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 				order = append(order, k)
 			}
 		}
-		sortKeys(order)
 		byTarget := make([][]T, nparts)
-		for _, k := range order {
-			q := int(hashKey(k) % uint64(nparts))
-			byTarget[q] = append(byTarget[q], groups[k])
+		for _, e := range sortKeys(order) {
+			q := int(e.h % uint64(nparts))
+			byTarget[q] = append(byTarget[q], groups[e.k])
 		}
 		outbox[p] = byTarget
 		outNominal[p] = make([]int64, nparts)
@@ -358,28 +445,12 @@ func ReduceByKey[T any, K comparable](d *Dataset[T], name string, perRec costmod
 	})
 
 	// Phase 2: network exchange.
-	from := make([]int, nparts)
-	to := make([]int, nparts)
-	bytes := make([][]int64, nparts)
-	for p := range d.parts {
-		from[p] = d.parts[p].Worker
-		bytes[p] = make([]int64, nparts)
-		for q := 0; q < nparts; q++ {
-			to[q] = q % d.job.cluster.Cfg.Workers
-			bytes[p][q] = outNominal[p][q] * int64(d.recordBytes)
-		}
-	}
-	shuffleExchange(d.job, from, to, bytes)
+	exchangeSide(d.job, d, nparts, outNominal)
 
 	// Phase 3: reduce-side final combine.
 	out := make([]Partition[T], nparts)
 	d.job.runTasks("reduce:"+name, nparts, func(q int) int { return q % d.job.cluster.Cfg.Workers }, func(q int, tm *TaskManager) {
-		var incoming []T
-		var nominal int64
-		for p := 0; p < nparts; p++ {
-			incoming = append(incoming, outbox[p][q]...)
-			nominal += outNominal[p][q]
-		}
+		incoming, nominal := gather(outbox, outNominal, q)
 		d.job.cluster.Clock.Sleep(model.CPU.SerDe(nominal * int64(d.recordBytes)))
 		d.job.ChargeCompute(nominal, perRec)
 		groups := make(map[K]T)
@@ -409,44 +480,12 @@ func GroupReduce[T any, K comparable, U any](d *Dataset[T], name string, perRec 
 	nparts := len(d.parts)
 	model := d.job.cluster.Cfg.Model
 
-	outbox := make([][][]T, nparts)
-	outNominal := make([][]int64, nparts)
-	d.job.runTasks("partition:"+name, nparts, d.workerOf, func(p int, tm *TaskManager) {
-		in := d.parts[p]
-		byTarget := make([][]T, nparts)
-		for _, v := range in.Items {
-			q := int(hashKey(key(v)) % uint64(nparts))
-			byTarget[q] = append(byTarget[q], v)
-		}
-		outbox[p] = byTarget
-		outNominal[p] = make([]int64, nparts)
-		for q, recs := range byTarget {
-			outNominal[p][q] = scaleNominal(in.Nominal, int64(len(in.Items)), int64(len(recs)))
-		}
-		d.job.cluster.Clock.Sleep(model.CPU.SerDe(in.Nominal * int64(d.recordBytes)))
-	})
-
-	from := make([]int, nparts)
-	to := make([]int, nparts)
-	bytes := make([][]int64, nparts)
-	for p := range d.parts {
-		from[p] = d.parts[p].Worker
-		bytes[p] = make([]int64, nparts)
-		for q := 0; q < nparts; q++ {
-			to[q] = q % d.job.cluster.Cfg.Workers
-			bytes[p][q] = outNominal[p][q] * int64(d.recordBytes)
-		}
-	}
-	shuffleExchange(d.job, from, to, bytes)
+	outbox, outNominal := partitionByKey(d, name, nparts, key)
+	exchangeSide(d.job, d, nparts, outNominal)
 
 	out := make([]Partition[U], nparts)
 	d.job.runTasks("groupReduce:"+name, nparts, func(q int) int { return q % d.job.cluster.Cfg.Workers }, func(q int, tm *TaskManager) {
-		var incoming []T
-		var nominal int64
-		for p := 0; p < nparts; p++ {
-			incoming = append(incoming, outbox[p][q]...)
-			nominal += outNominal[p][q]
-		}
+		incoming, nominal := gather(outbox, outNominal, q)
 		d.job.cluster.Clock.Sleep(model.CPU.SerDe(nominal * int64(d.recordBytes)))
 		d.job.ChargeCompute(nominal, perRec)
 		groups := make(map[K][]T)

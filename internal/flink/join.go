@@ -93,7 +93,9 @@ func partitionByKey[T any, K comparable](d *Dataset[T], op string, nparts int, k
 	return box, nom
 }
 
-// exchangeSide runs the network transfers of one join side.
+// exchangeSide runs the network transfers of one hash-partitioned
+// dataset: nom[p][q] nominal records from partition p to target q,
+// which lives on worker q % Workers.
 func exchangeSide[T any](j *Job, d *Dataset[T], nparts int, nom [][]int64) {
 	from := make([]int, len(d.parts))
 	to := make([]int, nparts)
