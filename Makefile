@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-baseline bench check-deprecated
+.PHONY: build test race vet vet-baseline bench
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,10 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# go vet's standard checks plus the repo's own thirteen-analyzer suite
-# (wallclock, clockgo, maporder, lockhold, lockorder, buflifecycle,
-# bufescape, spanpair, clockflow, counterkey, outputpurity, hotalloc,
-# poolsafe — see DESIGN.md "Concurrency & lifetime invariants").
+# go vet's standard checks plus the repo's own eleven-analyzer suite
+# (wallclock, clockgo, maporder, lockhold, lockorder, pairing,
+# bufescape, clockflow, counterkey, outputpurity, hotalloc — see
+# DESIGN.md "Concurrency & lifetime invariants").
 # Findings recorded in vet-baseline.json are suppressed: CI ratchets
 # on NEW findings only; the examples tree is vetted alongside the
 # module.
@@ -30,16 +30,3 @@ vet-baseline:
 
 bench:
 	$(GO) run ./cmd/gflink-bench -list
-
-# Fail when non-test code calls a Deprecated: positional constructor
-# (NewGStreamManager / NewGMemoryManager). The shims exist only so the
-# tests that pin their equivalence to the options constructors keep
-# compiling; new code uses NewStreamManager / NewMemoryManager.
-check-deprecated:
-	@hits=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
-		-E '\bNewG(StreamManager|MemoryManager)\(' . | grep -v 'func NewG' || true); \
-	if [ -n "$$hits" ]; then \
-		echo "deprecated positional constructors called from non-test code:"; \
-		echo "$$hits"; \
-		exit 1; \
-	fi

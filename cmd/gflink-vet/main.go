@@ -1,8 +1,7 @@
 // Command gflink-vet runs the repository's custom static analyzers
-// (wallclock, clockgo, maporder, lockhold, lockorder, buflifecycle,
-// bufescape, plus the flow-sensitive spanpair, clockflow, counterkey,
-// outputpurity and the allocation-discipline pair hotalloc and
-// poolsafe) over the module. See DESIGN.md "Concurrency & lifetime
+// (wallclock, clockgo, maporder, lockhold, lockorder, bufescape,
+// hotalloc, plus the flow-sensitive pairing, clockflow, counterkey and
+// outputpurity) over the module. See DESIGN.md "Concurrency & lifetime
 // invariants" for what each enforces and why `go test -race` cannot.
 //
 // Usage:

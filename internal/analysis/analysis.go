@@ -9,15 +9,15 @@
 // x/tools API for the subset they use, so they could be lifted onto the
 // real framework if the dependency ever becomes available.
 //
-// The thirteen production analyzers live in the subpackages wallclock,
-// clockgo, maporder, lockhold, lockorder, buflifecycle, bufescape,
-// spanpair, clockflow, counterkey, outputpurity, hotalloc and
-// poolsafe; cmd/gflink-vet wires them into a multichecker via the
-// suite subpackage. The flow-sensitive six (spanpair, clockflow,
-// counterkey, outputpurity, hotalloc, poolsafe) share the CFG/dataflow
-// core in cfg.go: per-function control-flow graphs with panic and
-// defer edges, a generic forward/backward worklist solver, and
-// reaching definitions with branch-guard tracking. See DESIGN.md "Concurrency & lifetime invariants" for the
+// The eleven production analyzers live in the subpackages wallclock,
+// clockgo, maporder, lockhold, lockorder, pairing, bufescape,
+// clockflow, counterkey, outputpurity and hotalloc; cmd/gflink-vet
+// wires them into a multichecker via the suite subpackage. The
+// flow-sensitive four (pairing, clockflow, counterkey, outputpurity)
+// share the CFG/dataflow core in cfg.go: per-function control-flow
+// graphs with panic and defer edges, a generic forward/backward
+// worklist solver, and reaching definitions with branch-guard
+// tracking. See DESIGN.md "Concurrency & lifetime invariants" for the
 // invariants they enforce.
 package analysis
 

@@ -4,7 +4,7 @@
 // HBuffer.Bytes() and HBuffer.Raw() return slices aliasing the
 // buffer's backing array — the whole point of the zero-copy transfer
 // path. The contract is that such a view is transient: read or written
-// in place, then dropped before the buffer's Free (which buflifecycle
+// in place, then dropped before the buffer's Free (which pairing
 // enforces separately). A view stored into a struct field, a global, a
 // long-lived slice, or a channel — or captured by a closure that may
 // run later — silently becomes a dangling window once the pool reuses

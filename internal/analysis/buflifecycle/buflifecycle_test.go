@@ -1,12 +1,20 @@
+// This directory holds no code: the buflifecycle rule is now a row of the
+// pairing analyzer. This test keeps the buflifecycle fixture, which moved to
+// pairing's testdata, running on its own under its original name.
 package buflifecycle_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"gflink/internal/analysis/analysistest"
-	"gflink/internal/analysis/buflifecycle"
+	"gflink/internal/analysis/pairing"
 )
 
 func TestBufLifecycle(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), buflifecycle.Analyzer, "buflifecycle")
+	testdata, err := filepath.Abs(filepath.Join("..", "pairing", "testdata"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysistest.Run(t, testdata, pairing.Analyzer, "buflifecycle")
 }

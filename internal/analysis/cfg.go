@@ -5,7 +5,7 @@ package analysis
 // forward/backward worklist solver, and a reaching-definitions lattice
 // with per-use def resolution. The AST-walking analyzers (wallclock,
 // lockhold, ...) check properties of individual expressions; the CFG
-// analyzers (spanpair, clockflow, counterkey, outputpurity) check
+// analyzers (pairing, clockflow, counterkey, outputpurity) check
 // properties of *paths* — "ended on every way out of the function",
 // "derived from a vclock reading on every definition that reaches this
 // argument" — which no single-pass walk can express.
@@ -57,7 +57,7 @@ type CFG struct {
 	Panic  *Block
 	// Defers lists every defer statement in source order. Deferred
 	// calls execute on both Exit and Panic paths; analyzers that model
-	// cleanup (spanpair) consult this list rather than edges.
+	// cleanup consult this list rather than edges.
 	Defers []*ast.DeferStmt
 }
 
@@ -190,15 +190,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = then
 		b.stmt(s.Body)
 		b.jumpTo(join)
+		// An if without else still gets an (empty) else block, so the
+		// false edge has a block that its guard labels.
+		els := b.newBlock("if.else", s.Cond)
+		b.edge(head, els)
+		b.cur = els
 		if s.Else != nil {
-			els := b.newBlock("if.else", s.Cond)
-			b.edge(head, els)
-			b.cur = els
 			b.stmt(s.Else)
-			b.jumpTo(join)
-		} else {
-			b.edge(head, join)
 		}
+		b.jumpTo(join)
 		b.cur = join
 
 	case *ast.ForStmt:

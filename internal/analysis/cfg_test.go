@@ -307,7 +307,7 @@ func TestSwitchFallthrough(t *testing.T) {
 
 // TestBackwardSolve runs a backward must-analysis over a diamond: "every
 // path from here to exit calls done()". The lattice is bool with AND
-// meet — exactly the shape spanpair uses.
+// meet — the shape of an "ended on every path" check.
 func TestBackwardSolve(t *testing.T) {
 	src := `package fixture
 func done()  {}

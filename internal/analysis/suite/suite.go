@@ -6,7 +6,6 @@ package suite
 import (
 	"gflink/internal/analysis"
 	"gflink/internal/analysis/bufescape"
-	"gflink/internal/analysis/buflifecycle"
 	"gflink/internal/analysis/clockflow"
 	"gflink/internal/analysis/clockgo"
 	"gflink/internal/analysis/counterkey"
@@ -15,8 +14,7 @@ import (
 	"gflink/internal/analysis/lockorder"
 	"gflink/internal/analysis/maporder"
 	"gflink/internal/analysis/outputpurity"
-	"gflink/internal/analysis/poolsafe"
-	"gflink/internal/analysis/spanpair"
+	"gflink/internal/analysis/pairing"
 	"gflink/internal/analysis/wallclock"
 )
 
@@ -30,23 +28,24 @@ import (
 //     primitives' implementation necessarily manipulates the clock's
 //     own mutex around the park/wake protocol, and its ordering is the
 //     scheduler's concern, not the lock graph's.
-//   - buflifecycle and bufescape run module-wide except internal/membuf,
+//   - pairing and bufescape run module-wide except internal/membuf,
 //     which constructs, destroys, and aliases HBuffer storage by
-//     definition.
-//   - the flow-sensitive observability analyzers (spanpair, clockflow,
+//     definition. pairing's span and pool rows lose nothing there:
+//     membuf imports neither obs nor core and declares no
+//     //gflink:pool source.
+//   - the flow-sensitive observability analyzers (clockflow,
 //     counterkey, outputpurity) run module-wide: they fire only on
 //     calls into the obs/core recording APIs or on //gflink:gated
 //     code, so an unrestricted scope costs nothing outside those and
 //     catches misuse wherever it appears (clockflow and counterkey
 //     skip _test.go files themselves — fixtures pin literal
 //     timestamps and probe counters by design).
-//   - the allocation-discipline analyzers (hotalloc, poolsafe) run
-//     module-wide too: they fire only on //gflink:hotpath and
-//     //gflink:pool annotations (invariant 10), so unannotated
+//   - hotalloc runs module-wide too: it fires only on
+//     //gflink:hotpath annotations (invariant 10), so unannotated
 //     packages cost nothing.
 //
-// maporder, lockorder, bufescape, clockflow, counterkey, hotalloc and
-// poolsafe carry fact types, so the driver also runs them over
+// maporder, lockorder, bufescape, pairing, clockflow, counterkey and
+// hotalloc carry fact types, so the driver also runs them over
 // module-internal dependencies of the requested packages (facts only)
 // before analyzing the targets.
 func Rules() []analysis.Rule {
@@ -57,14 +56,12 @@ func Rules() []analysis.Rule {
 		{Analyzer: maporder.Analyzer, Applies: internal},
 		{Analyzer: lockhold.Analyzer, Applies: analysis.Except(internal, "gflink/internal/vclock")},
 		{Analyzer: lockorder.Analyzer, Applies: analysis.Except(nil, "gflink/internal/vclock")},
-		{Analyzer: buflifecycle.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
+		{Analyzer: pairing.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
 		{Analyzer: bufescape.Analyzer, Applies: analysis.Except(nil, "gflink/internal/membuf")},
-		{Analyzer: spanpair.Analyzer},
 		{Analyzer: clockflow.Analyzer},
 		{Analyzer: counterkey.Analyzer},
 		{Analyzer: outputpurity.Analyzer},
 		{Analyzer: hotalloc.Analyzer},
-		{Analyzer: poolsafe.Analyzer},
 	}
 }
 

@@ -7,13 +7,13 @@ import (
 	"gflink/internal/analysis/suite"
 )
 
-// TestSuiteHasThirteenAnalyzers pins the suite's composition: the seven
-// lexical/interprocedural checks of DESIGN.md "Concurrency & lifetime
-// invariants", the four flow-sensitive observability analyzers that
-// enforce invariants 8–9 (spanpair, clockflow, counterkey,
-// outputpurity), and the two allocation-discipline analyzers that
-// enforce invariant 10 (hotalloc, poolsafe).
-func TestSuiteHasThirteenAnalyzers(t *testing.T) {
+// TestSuiteHasElevenAnalyzers pins the suite's composition: the seven
+// checks of DESIGN.md "Concurrency & lifetime invariants" (pairing
+// among them, whose buffer, pin, span and pool rows also carry
+// invariants 8 and 10), the three flow-sensitive observability
+// analyzers that enforce invariants 8–9 (clockflow, counterkey,
+// outputpurity), and hotalloc, which enforces invariant 10.
+func TestSuiteHasElevenAnalyzers(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range suite.Analyzers() {
 		names[a.Name] = true
@@ -21,21 +21,21 @@ func TestSuiteHasThirteenAnalyzers(t *testing.T) {
 	for _, want := range []string{
 		"wallclock", "clockgo", "maporder",
 		"lockhold", "lockorder",
-		"buflifecycle", "bufescape",
-		"spanpair", "clockflow", "counterkey", "outputpurity",
-		"hotalloc", "poolsafe",
+		"pairing", "bufescape",
+		"clockflow", "counterkey", "outputpurity",
+		"hotalloc",
 	} {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}
 	}
-	if len(names) != 13 {
-		t.Errorf("suite has %d analyzers, want 13", len(names))
+	if len(names) != 11 {
+		t.Errorf("suite has %d analyzers, want 11", len(names))
 	}
 }
 
 // TestSuiteCoversPlanLayer pins the scoping rules to the deferred plan
-// layer: every one of the seven analyzers must apply to
+// layer: every analyzer in the suite must apply to
 // gflink/internal/plan, since the planner's chaining and placement
 // passes sit directly on the determinism and buffer-lifecycle
 // invariants the suite enforces.

@@ -86,6 +86,8 @@ func vclockSweep(works int, legacy bool) {
 			}
 			wp.Put(w)
 		}
+		in.Free()
+		out.Free()
 		mgr.Close()
 		dev.Close()
 	})

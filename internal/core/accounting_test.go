@@ -108,3 +108,37 @@ func TestWorkReportAccounting(t *testing.T) {
 		})
 	}
 }
+
+// TestChunkedTransferCounters pins the per-device transfer counters on
+// the chunked path: splitting a GWork into chunks moves the same
+// nominal bytes, so xfer.{h2d,d2h}.bytes.gpu0 must total exactly what
+// the monolithic run of the same work counts.
+func TestChunkedTransferCounters(t *testing.T) {
+	counts := func(chunks int) [2]int64 {
+		g := New(Config{
+			Config:         flink.Config{Workers: 1, Model: costmodel.Default(), ScaleDivisor: 1},
+			GPUsPerWorker:  1,
+			EnableChunking: true,
+		})
+		g.Run(func() {
+			w, in, out := submitChunked(g, 256, 1<<20, chunks)
+			if err := w.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.Report().Chunks; chunks > 1 && got != chunks {
+				t.Errorf("Chunks = %d, want %d", got, chunks)
+			}
+			in.Free()
+			out.Free()
+		})
+		m := g.Obs.Metrics()
+		return [2]int64{m.Get("xfer.h2d.bytes.gpu0"), m.Get("xfer.d2h.bytes.gpu0")}
+	}
+	mono, chunked := counts(1), counts(4)
+	if want := [2]int64{4 << 20, 4 << 20}; mono != want {
+		t.Errorf("monolithic h2d/d2h bytes = %v, want %v", mono, want)
+	}
+	if chunked != mono {
+		t.Errorf("chunked h2d/d2h bytes = %v, want the monolithic %v", chunked, mono)
+	}
+}

@@ -225,7 +225,7 @@ func (sw *streamWorker) execChunked(w *GWork, chunks int) {
 			wr.MemcpyH2DRangesAsync(s, devBufs[i], in.Buf, ranges, share)
 			dur := pcie.TransferTime(share)
 			serialized += dur
-			mgr.metrics.Add(fmt.Sprintf("xfer.h2d.bytes.gpu%d", dev.ID), share)
+			sw.ds.cntH2D.Add(share)
 			s.Callback(func() {
 				end := mgr.clock.Now()
 				mgr.tracer.Record(track, "chunk", fmt.Sprintf("h2d.c%d", kk), end-dur, end,
@@ -264,7 +264,7 @@ func (sw *streamWorker) execChunked(w *GWork, chunks int) {
 		wr.MemcpyD2HRangesAsync(s, w.Out, outBuf, dranges, dshare)
 		ddur := pcie.TransferTime(dshare)
 		serialized += ddur
-		mgr.metrics.Add(fmt.Sprintf("xfer.d2h.bytes.gpu%d", dev.ID), dshare)
+		sw.ds.cntD2H.Add(dshare)
 		s.Callback(func() {
 			end := mgr.clock.Now()
 			mgr.tracer.Record(track, "chunk", fmt.Sprintf("d2h.c%d", kk), end-ddur, end,

@@ -59,6 +59,8 @@ func BenchmarkHotPath1MGWorks(b *testing.B) {
 			kerr = w.Wait()
 			wp.Put(w)
 		}
+		in.Free()
+		out.Free()
 		mgr.Close()
 		dev.Close()
 	})

@@ -289,8 +289,8 @@ func TestReclaimNeverDemotesPinned(t *testing.T) {
 	}
 }
 
-// TestMemOptionsAndShim checks the functional options and the
-// deprecated positional constructor.
+// TestMemOptionsAndShim checks the functional options, and that every
+// CachePolicy builds the eviction policy of the same name.
 func TestMemOptionsAndShim(t *testing.T) {
 	model := costmodel.Default()
 	clock := vclock.New()
@@ -334,9 +334,8 @@ func TestMemOptionsAndShim(t *testing.T) {
 	}{
 		{EvictFIFO, "fifo"}, {StopWhenFull, "stop"}, {EvictLRU, "lru"}, {EvictCostAware, "cost"},
 	} {
-		shim := NewGMemoryManager(dev, wrapper, 1<<20, tc.pol)
-		if got := shim.Policy().Name(); got != tc.name {
-			t.Errorf("shim policy %v = %q, want %q", tc.pol, got, tc.name)
+		if got := NewMemoryManager(dev, wrapper, 1<<20, WithPolicy(tc.pol)).Policy().Name(); got != tc.name {
+			t.Errorf("WithPolicy(%v) policy = %q, want %q", tc.pol, got, tc.name)
 		}
 		if got := tc.pol.String(); got != tc.name {
 			t.Errorf("CachePolicy(%d).String() = %q, want %q", tc.pol, got, tc.name)

@@ -4,10 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"gflink/internal/costmodel"
-	"gflink/internal/gpu"
 	"gflink/internal/obs"
-	"gflink/internal/vclock"
 )
 
 // TestStreamOptions checks the functional options mutate a
@@ -35,34 +32,6 @@ func TestStreamOptions(t *testing.T) {
 	if cfg.Policy != RoundRobin || cfg.StreamsPerGPU != 7 {
 		t.Errorf("policy/streams = %v/%d", cfg.Policy, cfg.StreamsPerGPU)
 	}
-}
-
-// TestDeprecatedNewGStreamManagerShim keeps the positional constructor
-// working: it must build the same manager the StreamConfig path does,
-// including the stealing flag's polarity.
-func TestDeprecatedNewGStreamManagerShim(t *testing.T) {
-	model := costmodel.Default()
-	clock := vclock.New()
-	wrapper := NewCUDAWrapper(clock, model)
-	dev := gpu.NewDevice(clock, 0, 0, costmodel.C2050, model.PCIe)
-	mem := NewGMemoryManager(dev, wrapper, costmodel.C2050.MemBytes/2, EvictFIFO)
-	m := NewGStreamManager(clock, wrapper, []*GMemoryManager{mem}, 2, RoundRobin, false)
-	if m.stealing {
-		t.Error("shim stealing=false must disable stealing")
-	}
-	if m.policy != RoundRobin {
-		t.Errorf("policy = %v, want RoundRobin", m.policy)
-	}
-	if got := len(m.devs[0].streams); got != 2 {
-		t.Errorf("streams per GPU = %d, want 2", got)
-	}
-	if m.tracer != nil || m.metrics != nil {
-		t.Error("shim must not wire observability")
-	}
-	clock.Run(func() {
-		m.Close()
-		dev.Close()
-	})
 }
 
 // TestDeploymentObservability drives two GWork through a deployment

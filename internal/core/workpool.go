@@ -10,7 +10,7 @@ import (
 // the producer half of the paper's producer-consumer execution model —
 // allocates nothing: the shell, its In slice backing and its completion
 // event are all reused across works. Get/Put pairs are enforced by the
-// gflink-vet poolsafe analyzer; the GStreamManager owns one pool
+// gflink-vet pairing analyzer; the GStreamManager owns one pool
 // (Streams.Pool()) shared by every producer task.
 //
 // A GWork obtained from Get must not be touched after Put, and Put must

@@ -157,7 +157,7 @@ func (t *Tracer) Spans() []Span {
 
 // OpenSpan is a span opened by Tracer.Begin and still awaiting its end
 // timestamp. Nothing is recorded until End runs — an OpenSpan that is
-// dropped leaves no trace, which is why the gflink-vet spanpair
+// dropped leaves no trace, which is why the gflink-vet pairing
 // analyzer proves every Begin reaches an End (or a visible ownership
 // transfer) on all paths out of the opening function.
 type OpenSpan struct {

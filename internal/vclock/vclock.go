@@ -251,10 +251,9 @@ func (c *Clock) exit(p *proc) {
 	c.mu.Unlock()
 }
 
-// Sleep blocks the calling process for d of virtual time. Negative or
-// zero durations yield without advancing time... actually a zero sleep
-// still round-trips through the timer heap so that co-scheduled wakeups
-// at the same instant occur in FIFO order.
+// Sleep blocks the calling process for d of virtual time. Negative
+// durations clamp to 0, and a zero sleep still goes through the timer
+// heap, so wakeups co-scheduled at the same instant keep FIFO order.
 //
 // When the sleeper's own timer heads the next dispatch batch — common
 // when one worker races ahead of every other process — block reports a
