@@ -1,11 +1,9 @@
 // Package counterkey enforces the metric-name half of DESIGN.md
-// invariant 8: every counter name passed to (*obs.Registry).Add,
-// (*obs.Registry).Max or (*obs.Registry).Counter (the preregistered
-// lock-free handle constructor) must be a compile-time constant format
-// string
-// that matches the metrics grammar, so dashboards and the repository
-// self-checks can enumerate every counter the simulator can ever emit
-// by reading the source.
+// invariant 8: every counter name passed to (*obs.Registry).Counter
+// (the constructor of the lock-free handles every producer bumps) must
+// be a compile-time constant format string that matches the metrics
+// grammar, so dashboards and the repository self-checks can enumerate
+// every counter the simulator can ever emit by reading the source.
 //
 // The grammar mirrors the namespaces the obs registry documents:
 //
@@ -29,12 +27,12 @@
 //
 // Reads of unexported struct fields are resolved through field
 // provenance: hot paths precompute their counter names once (a
-// per-Add fmt.Sprintf is an allocation the hotalloc analyzer
+// per-call fmt.Sprintf is an allocation the hotalloc analyzer
 // forbids), so a field read is an acceptable key exactly when every
 // package-local assignment to that field — plain assignments and
 // composite-literal entries alike — evaluates to a grammar-valid
 // pattern. The counters stay statically enumerable: the enumeration
-// just reads the field's initializers instead of the Add site.
+// just reads the field's initializers instead of the Counter site.
 //
 // Test files are exempt (they probe the registry with throwaway
 // names). Suppress a single site with //gflink:counter-key.
@@ -341,13 +339,14 @@ func (st *state) fieldParts(sc *fnScope, sel *ast.SelectorExpr) []part {
 }
 
 // calleeKeyed resolves the key-parameter indices of a call target:
-// the Registry.Add root, package-local obligations, or imported facts.
+// the Registry.Counter root, package-local obligations, or imported
+// facts.
 func (st *state) calleeKeyed(fn *types.Func) []int {
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
 	if fn.Pkg().Path() == obsPath {
-		if k := analysis.ObjectKey(fn); k == "Registry.Add" || k == "Registry.Max" || k == "Registry.Counter" {
+		if analysis.ObjectKey(fn) == "Registry.Counter" {
 			return []int{0}
 		}
 	}

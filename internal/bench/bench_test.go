@@ -48,7 +48,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig8a", "fig8b", "fig8c", "fig8d", "table2",
 		"abl-layout", "abl-zerocopy", "abl-pipeline", "abl-locality", "abl-stealing", "abl-blocksize",
 		"abl-chaining", "abl-projection", "abl-chunking", "abl-oocore",
-		"abl-backpressure", "hotalloc-bench", "vclock-bench",
+		"abl-backpressure", "hotalloc-bench",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
@@ -328,9 +328,15 @@ func TestHotAllocBenchUnderBudget(t *testing.T) {
 	if err := e.Check(&Table{}); err == nil {
 		t.Error("hotalloc-bench check accepted an empty table")
 	}
-	bad := &Table{Notes: []string{"allocs/gwork = 85.00 (pinned ceiling 17; pre-optimization baseline 85)"}}
+	const handoffsOK = "handoffs/gwork = 12.00 (pinned ceiling 12.00; pre-batching engine 21)"
+	bad := &Table{Notes: []string{"allocs/gwork = 85.00 (pinned ceiling 17; pre-optimization baseline 85)", handoffsOK}}
 	if err := e.Check(bad); err == nil {
 		t.Error("hotalloc-bench check accepted the pre-optimization allocation rate")
+	}
+	bad = &Table{Notes: []string{"allocs/gwork = 0.00 (pinned ceiling 17; pre-optimization baseline 85)",
+		"handoffs/gwork = 21.00 (pinned ceiling 12.00; pre-batching engine 21)"}}
+	if err := e.Check(bad); err == nil {
+		t.Error("hotalloc-bench check accepted the pre-batching handoff rate")
 	}
 }
 

@@ -24,6 +24,15 @@ import (
 // return.
 const allocBudget = 17.0
 
+// handoffBudget is the pinned ceiling on vclock wake-up sends per GWork
+// over the same window: the H2D → kernel → D2H pipeline measures exactly
+// 12 with co-deadline batching and the self-wake fast path, against 21
+// for the pre-batching one-timer-per-dispatch engine. The count is a
+// deterministic function of the simulated schedule, so the ceiling has
+// no noise margin: any extra handoff per GWork means a dispatch fast
+// path was lost.
+const handoffBudget = 12.0
+
 func init() {
 	// The kernel mirrors core's test double kernel: 1 flop and 8 bytes
 	// per element, enough to exercise the full three-stage pipeline.
@@ -73,6 +82,7 @@ func init() {
 
 			var kerr error
 			var before, after runtime.MemStats
+			var handoffs0, handoffs1 uint64
 			clock.Run(func() {
 				in := pool.MustAllocate(4 * n)
 				out := pool.MustAllocate(4 * n)
@@ -103,9 +113,11 @@ func init() {
 				}
 				runtime.GC()
 				runtime.ReadMemStats(&before)
+				handoffs0 = clock.Handoffs()
 				for i := 0; i < works && kerr == nil; i++ {
 					one()
 				}
+				handoffs1 = clock.Handoffs()
 				runtime.ReadMemStats(&after)
 				mgr.Close()
 				dev.Close()
@@ -116,20 +128,31 @@ func init() {
 
 			perWork := float64(after.Mallocs-before.Mallocs) / float64(works)
 			bytesPerWork := float64(after.TotalAlloc-before.TotalAlloc) / float64(works)
+			handoffsPerWork := float64(handoffs1-handoffs0) / float64(works)
 			t.AddRow(fmt.Sprint(works), fmt.Sprintf("%.2f", perWork), fmt.Sprintf("%.0f", bytesPerWork))
 			t.Note("allocs/gwork = %.2f (pinned ceiling %.0f; pre-optimization baseline 85)", perWork, allocBudget)
+			t.Note("handoffs/gwork = %.2f (pinned ceiling %.2f; pre-batching engine 21)", handoffsPerWork, handoffBudget)
 			return t
 		},
 		Check: func(t *Table) error {
-			if len(t.Notes) == 0 {
-				return fmt.Errorf("hotalloc-bench: missing allocs/gwork note")
+			var perWork, handoffsPerWork float64
+			foundA, foundH := false, false
+			for _, n := range t.Notes {
+				if _, err := fmt.Sscanf(n, "allocs/gwork = %f", &perWork); err == nil {
+					foundA = true
+				}
+				if _, err := fmt.Sscanf(n, "handoffs/gwork = %f", &handoffsPerWork); err == nil {
+					foundH = true
+				}
 			}
-			var perWork, ceiling float64
-			if _, err := fmt.Sscanf(t.Notes[len(t.Notes)-1], "allocs/gwork = %f (pinned ceiling %f", &perWork, &ceiling); err != nil {
-				return fmt.Errorf("hotalloc-bench: unparsable note %q: %w", t.Notes[len(t.Notes)-1], err)
+			if !foundA || !foundH {
+				return fmt.Errorf("hotalloc-bench: missing notes (allocs/gwork %v, handoffs/gwork %v)", foundA, foundH)
 			}
 			if perWork > allocBudget {
 				return fmt.Errorf("hotalloc-bench: %.2f allocs per GWork exceeds the pinned ceiling %.0f — something re-grew the hot path", perWork, allocBudget)
+			}
+			if handoffsPerWork > handoffBudget {
+				return fmt.Errorf("hotalloc-bench: %.2f vclock handoffs per GWork exceeds the pinned ceiling %.2f — a dispatch fast path (co-deadline batching or self-wake) was lost", handoffsPerWork, handoffBudget)
 			}
 			return nil
 		},

@@ -19,8 +19,9 @@ import (
 // allocation count the hotalloc analyzer locks in (0 at steady state
 // since command shells, futures and counter handles pooled), and
 // `-benchtime=1000000x` reproduces the scaled-up 1M-GWork sweep; the
-// canonical 100k-GWork scenario vclock-bench times in CI is the same
-// loop at `-benchtime=100000x`.
+// 100k-GWork scenario whose allocs and vclock handoffs per GWork
+// hotalloc-bench gates in CI is the same loop at `-benchtime=100000x`.
+// Host ns per GWork is tracked by perfbench's core.gwork_ns.
 func BenchmarkHotPath1MGWorks(b *testing.B) {
 	clock := vclock.New()
 	model := costmodel.Default()

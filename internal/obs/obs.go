@@ -289,13 +289,12 @@ type Metric struct {
 
 // Registry is a set of named monotonic counters. Like the tracer it is
 // nil-safe, and snapshots are sorted so consumers never observe map
-// order. Hot producers preregister a Counter handle once and bump it
-// lock-free; ad-hoc producers use Add/Max, which pay a mutex and a map
-// probe per call.
+// order. Every producer preregisters a Counter handle once, with
+// Counter(name), and bumps it lock-free through Add or Max; readers
+// (Get, Total, Snapshot) read the handles under the registry lock.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]int64
-	handles  map[string]*Counter
+	mu      sync.Mutex
+	handles map[string]*Counter
 	// disabled is set before the simulation runs and never written
 	// during it, so the Enabled fast path reads it without the lock.
 	disabled bool
@@ -303,7 +302,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: make(map[string]int64), handles: make(map[string]*Counter)}
+	return &Registry{handles: make(map[string]*Counter)}
 }
 
 // Counter is a preregistered handle on one named counter: a direct
@@ -391,38 +390,8 @@ func (r *Registry) SetEnabled(on bool) {
 	}
 }
 
-// Add increments the named counter by delta.
-//
-//gflink:hotpath
-func (r *Registry) Add(name string, delta int64) {
-	if !r.Enabled() {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	//gflink:allow-alloc bounded counter set; steady-state writes hit existing buckets
-	r.counters[name] += delta
-}
-
-// Max raises the named counter to v if v exceeds its current value — a
-// high-watermark gauge (queue depths, buffer occupancy) stored in the
-// same namespace-checked counter set as Add.
-//
-//gflink:hotpath
-func (r *Registry) Max(name string, v int64) {
-	if !r.Enabled() {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v > r.counters[name] {
-		//gflink:allow-alloc bounded counter set; steady-state writes hit existing buckets
-		r.counters[name] = v
-	}
-}
-
-// Get returns the named counter's value (0 when never incremented),
-// whether it lives in a preregistered handle or the ad-hoc map.
+// Get returns the named counter's value (0 when never registered or
+// never incremented).
 //
 //gflink:hotpath
 func (r *Registry) Get(name string) int64 {
@@ -432,9 +401,9 @@ func (r *Registry) Get(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.handles[name]; ok {
-		return c.v + r.counters[name]
+		return c.v
 	}
-	return r.counters[name]
+	return 0
 }
 
 // Total sums every counter whose name starts with prefix — e.g.
@@ -447,11 +416,6 @@ func (r *Registry) Total(prefix string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var n int64
-	for name, v := range r.counters { //gflink:unordered — summing ints
-		if strings.HasPrefix(name, prefix) {
-			n += v
-		}
-	}
 	for name, c := range r.handles { //gflink:unordered — summing ints
 		if strings.HasPrefix(name, prefix) {
 			n += c.v
@@ -460,34 +424,21 @@ func (r *Registry) Total(prefix string) int64 {
 	return n
 }
 
-// Snapshot returns every nonzero-or-map-resident counter sorted by
-// name, merging preregistered handles with the ad-hoc map. A handle
-// that was never bumped stays out of the snapshot, matching the map
-// counters' never-incremented behavior.
+// Snapshot returns every nonzero counter sorted by name. A handle that
+// was registered but never bumped stays out of the snapshot.
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	totals := make(map[string]int64, len(r.counters)+len(r.handles))
-	for name, v := range r.counters { //gflink:unordered — merged into totals, sorted below
-		totals[name] = v
-	}
-	for name, c := range r.handles { //gflink:unordered — merged into totals, sorted below
+	out := make([]Metric, 0, len(r.handles))
+	for name, c := range r.handles { //gflink:unordered — sorted below
 		if c.v != 0 {
-			totals[name] += c.v
+			out = append(out, Metric{Name: name, Value: c.v})
 		}
 	}
-	names := make([]string, 0, len(totals))
-	for name := range totals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Metric, 0, len(names))
-	for _, name := range names {
-		out = append(out, Metric{Name: name, Value: totals[name]})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

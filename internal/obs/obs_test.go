@@ -93,7 +93,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil tracer is not a no-op")
 	}
 	var r *Registry
-	r.Add("c", 1)
+	r.Counter("c").Add(1)
 	if r.Get("c") != 0 || r.Total("c") != 0 || r.Snapshot() != nil {
 		t.Error("nil registry is not a no-op")
 	}
@@ -104,7 +104,7 @@ func TestNilSafety(t *testing.T) {
 	// And the nil components those getters return must themselves be
 	// usable, closing the chain.
 	o.Tracer().Record("x", "y", "z", 0, 1)
-	o.Metrics().Add("c", 1)
+	o.Metrics().Counter("c").Add(1)
 }
 
 func TestAttrConstructors(t *testing.T) {
@@ -179,12 +179,18 @@ func TestRecordGWorkSpanTree(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.Add("cache.hits.gpu0", 3)
-	r.Add("cache.hits.gpu1", 4)
-	r.Add("cache.misses.gpu0", 1)
-	r.Add("cache.hits.gpu0", 2)
+	r.Counter("cache.hits.gpu0").Add(3)
+	r.Counter("cache.hits.gpu1").Add(4)
+	r.Counter("cache.misses.gpu0").Add(1)
+	r.Counter("cache.hits.gpu0").Add(2) // same name, same slot
+	r.Counter("stream.depth_max").Max(3)
+	r.Counter("stream.depth_max").Max(2)
+	r.Counter("never.bumped")
 	if got := r.Get("cache.hits.gpu0"); got != 5 {
 		t.Errorf("Get = %d, want 5", got)
+	}
+	if got := r.Get("stream.depth_max"); got != 3 {
+		t.Errorf("Get(stream.depth_max) = %d, want the high-water mark 3", got)
 	}
 	if got := r.Get("absent"); got != 0 {
 		t.Errorf("Get(absent) = %d, want 0", got)
@@ -193,7 +199,7 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("Total(cache.hits) = %d, want 9", got)
 	}
 	snap := r.Snapshot()
-	wantNames := []string{"cache.hits.gpu0", "cache.hits.gpu1", "cache.misses.gpu0"}
+	wantNames := []string{"cache.hits.gpu0", "cache.hits.gpu1", "cache.misses.gpu0", "stream.depth_max"}
 	if len(snap) != len(wantNames) {
 		t.Fatalf("snapshot has %d entries, want %d", len(snap), len(wantNames))
 	}

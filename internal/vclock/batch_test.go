@@ -7,21 +7,28 @@ import (
 	"time"
 )
 
-// runOrder executes body under a fresh clock (legacy or batched
-// dispatch) where each spawned process appends its marks to a shared
-// log, and returns the log.
-func runOrder(legacy bool, body func(c *Clock, log *[]string)) []string {
+// runOrder executes body under a fresh clock where each spawned process
+// appends its marks to a shared log, and returns the log.
+func runOrder(body func(c *Clock, log *[]string)) []string {
 	c := New()
-	c.SetLegacyDispatch(legacy)
 	var log []string
 	c.Run(func() { body(c, &log) })
 	return log
 }
 
+// checkOrder fails t unless got equals want. Each want below is the
+// order the pre-batching one-timer-per-dispatch engine produced for the
+// same body, recorded before that engine was deleted.
+func checkOrder(t *testing.T, got, want []string) {
+	t.Helper()
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("wake order %v, want %v", got, want)
+	}
+}
+
 // TestCoDeadlineBatchFIFOBySeq pins the batching invariant: when many
 // timers share the earliest deadline, the whole batch is dispatched in
-// arm (seq) order — exactly the order the one-timer-per-dispatch legacy
-// engine produces.
+// arm (seq) order, as if timers fired one per dispatch.
 func TestCoDeadlineBatchFIFOBySeq(t *testing.T) {
 	body := func(c *Clock, log *[]string) {
 		g := NewGroup(c)
@@ -34,25 +41,16 @@ func TestCoDeadlineBatchFIFOBySeq(t *testing.T) {
 		}
 		g.Wait()
 	}
-	got := runOrder(false, body)
-	want := runOrder(true, body)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("batched wake order %v != legacy order %v", got, want)
-	}
-	for i, m := range got {
-		if m != fmt.Sprintf("p%d", i) {
-			t.Fatalf("wake order %v, want arm order p0..p7", got)
-		}
-	}
+	checkOrder(t, runOrder(body), []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"})
 }
 
 // TestBatchInterleavedWithReadyWakes covers the subtle half of the
 // equivalence proof: a process woken from a co-deadline batch readies
 // other processes (via an event) before the rest of the batch has run.
 // Those readied processes must run before the remaining batch members —
-// in legacy dispatch they become runnable before the next timer pops,
-// and batched dispatch preserves that by draining the run queue before
-// the wake queue.
+// with one timer per dispatch they become runnable before the next
+// timer pops, and batched dispatch preserves that by draining the run
+// queue before the wake queue.
 func TestBatchInterleavedWithReadyWakes(t *testing.T) {
 	body := func(c *Clock, log *[]string) {
 		g := NewGroup(c)
@@ -78,16 +76,13 @@ func TestBatchInterleavedWithReadyWakes(t *testing.T) {
 		}
 		g.Wait()
 	}
-	got := runOrder(false, body)
-	want := runOrder(true, body)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("batched order %v != legacy order %v", got, want)
-	}
+	checkOrder(t, runOrder(body), []string{"sleeper0", "waiter0", "waiter1", "waiter2", "sleeper1", "sleeper2", "sleeper3"})
 }
 
 // TestBatchMixedQueueTraffic mixes co-deadline timer batches with queue
 // handoffs — the sleeper-producer wakes a blocked consumer mid-batch —
-// and requires the execution order to match the legacy engine exactly.
+// and requires the execution order to match one-timer-per-dispatch
+// exactly.
 func TestBatchMixedQueueTraffic(t *testing.T) {
 	body := func(c *Clock, log *[]string) {
 		g := NewGroup(c)
@@ -117,11 +112,7 @@ func TestBatchMixedQueueTraffic(t *testing.T) {
 		})
 		g.Wait()
 	}
-	got := runOrder(false, body)
-	want := runOrder(true, body)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("batched order %v != legacy order %v", got, want)
-	}
+	checkOrder(t, runOrder(body), []string{"put0", "got0", "put1", "got1", "put2", "got2", "done0", "done1", "done2"})
 }
 
 // TestRingFIFOWraparound drives a Ring through repeated push/pop cycles
@@ -228,17 +219,60 @@ func TestDeadlockDiagnosticCensus(t *testing.T) {
 	})
 }
 
-// TestLegacyDispatchGuards pins the mode-switch contract: flipping
-// dispatch modes after the clock has started must panic rather than
-// silently mix engines.
-func TestLegacyDispatchGuards(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic from SetLegacyDispatch after Run")
-		}
-	}()
+// TestSelfWakeMakesNoHandoffs covers the self-wake fast path: a lone
+// process whose own timer always heads the next batch keeps the
+// execution slot through every Sleep, with no channel send at all.
+func TestSelfWakeMakesNoHandoffs(t *testing.T) {
 	c := New()
+	var before, after uint64
 	c.Run(func() {
-		c.SetLegacyDispatch(true)
+		before = c.Handoffs()
+		for i := 0; i < 100; i++ {
+			c.Sleep(time.Duration(i%3) * time.Millisecond)
+		}
+		after = c.Handoffs()
 	})
+	if n := after - before; n != 0 {
+		t.Fatalf("lone sleeper made %d handoffs over 100 sleeps, want 0", n)
+	}
+}
+
+// TestEventPingPongOneHandoffPerWake pins the cost of a genuine wake:
+// two processes alternating through a pair of events hand the slot
+// back and forth with exactly one send per wake.
+func TestEventPingPongOneHandoffPerWake(t *testing.T) {
+	const rounds = 50
+	c := New()
+	var before, after uint64
+	c.Run(func() {
+		ping, pong := NewEvent(c), NewEvent(c)
+		g := NewGroup(c)
+		g.Go("pinger", func() {
+			exchange := func() {
+				ping.Set()
+				pong.Wait()
+				pong.Reset()
+			}
+			// One warm-up round so the ponger is parked on ping when
+			// the window opens, not still waiting in the spawn queue.
+			exchange()
+			before = c.Handoffs()
+			for i := 0; i < rounds; i++ {
+				exchange()
+			}
+			after = c.Handoffs()
+		})
+		g.Go("ponger", func() {
+			for i := 0; i <= rounds; i++ {
+				ping.Wait()
+				ping.Reset()
+				pong.Set()
+			}
+		})
+		g.Wait()
+	})
+	// Each round is two wakes: pinger wakes ponger, ponger wakes pinger.
+	if n, want := after-before, uint64(2*rounds); n != want {
+		t.Fatalf("%d rounds of ping-pong made %d handoffs, want %d (one per wake)", rounds, n, want)
+	}
 }

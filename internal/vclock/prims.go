@@ -6,10 +6,8 @@ import (
 
 // waiter is a parked process waiting on a primitive: the process shell
 // to wake plus the semaphore units it requested. Wakes target the
-// process's own channel, so in the batched engine the waker recycles
-// the waiter shell the moment it leaves the wait queue; the legacy
-// engine keeps the pre-batching behavior of the woken process
-// re-locking to recycle it.
+// process's own channel, so the waker recycles the waiter shell the
+// moment it leaves the wait queue.
 type waiter struct {
 	p *proc
 	n int64 // semaphore units requested
@@ -55,9 +53,7 @@ func (q *Queue[T]) Close() {
 			break
 		}
 		q.c.ready(reasonQueue, w.p)
-		if !q.c.legacy {
-			q.c.putWaiterLocked(w)
-		}
+		q.c.putWaiterLocked(w)
 	}
 }
 
@@ -82,13 +78,10 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 		q.c.block(reasonQueue, nil)
 		q.c.mu.Unlock()
 		<-p.ch
-		// The wake was a one-shot send into the process's own channel;
-		// re-lock and re-check. The waker already recycled the waiter
-		// shell (batched engine); the legacy engine recycles it here.
+		// The wake was a one-shot send into the process's own channel
+		// (the waker already recycled the waiter shell); re-lock and
+		// re-check.
 		q.c.mu.Lock()
-		if q.c.legacy {
-			q.c.putWaiterLocked(w)
-		}
 	}
 }
 
@@ -114,9 +107,7 @@ func (q *Queue[T]) Len() int {
 func (q *Queue[T]) wakeOneLocked() {
 	if w, ok := q.waiters.Pop(); ok {
 		q.c.ready(reasonQueue, w.p)
-		if !q.c.legacy {
-			q.c.putWaiterLocked(w)
-		}
+		q.c.putWaiterLocked(w)
 	}
 }
 
@@ -162,13 +153,6 @@ func (s *Semaphore) Acquire(n int64) {
 	s.c.block(s.reasonIdx, nil)
 	s.c.mu.Unlock()
 	<-p.ch
-	if s.c.legacy {
-		// Pre-batching behavior: the woken process re-locks to recycle
-		// the waiter shell Release removed from the queue.
-		s.c.mu.Lock()
-		s.c.putWaiterLocked(w)
-		s.c.mu.Unlock()
-	}
 }
 
 // Release returns n units and wakes as many queued acquirers as now fit,
@@ -191,9 +175,7 @@ func (s *Semaphore) Release(n int64) {
 		s.waiters.Pop()
 		s.free -= w.n
 		s.c.ready(s.reasonIdx, w.p)
-		if !s.c.legacy {
-			s.c.putWaiterLocked(w)
-		}
+		s.c.putWaiterLocked(w)
 	}
 }
 
@@ -242,9 +224,7 @@ func (e *Event) Set() {
 			break
 		}
 		e.c.ready(reasonEvent, w.p)
-		if !e.c.legacy {
-			e.c.putWaiterLocked(w)
-		}
+		e.c.putWaiterLocked(w)
 	}
 }
 
@@ -263,13 +243,6 @@ func (e *Event) Wait() {
 	e.c.block(reasonEvent, nil)
 	e.c.mu.Unlock()
 	<-p.ch
-	if e.c.legacy {
-		// Pre-batching behavior: the woken process re-locks to recycle
-		// the waiter shell Set removed from the queue.
-		e.c.mu.Lock()
-		e.c.putWaiterLocked(w)
-		e.c.mu.Unlock()
-	}
 }
 
 // IsSet reports whether the event fired.
