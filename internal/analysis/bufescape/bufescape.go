@@ -15,10 +15,13 @@
 // it) through the function: returning it, storing it anywhere that
 // outlives the frame, sending it on a channel, or capturing it in a
 // function literal is an escape. Passing a view to another function is
-// an escape only if that function retains its argument; retention is
-// computed per parameter as a fixpoint over the package call graph and
-// exported as a Retains object fact, so a helper in membuf or core
-// that caches its []byte argument is visible from flink. Element reads
+// an escape only if that function retains its argument; a call whose
+// callee returns an argument (directly or inside a composite literal,
+// as gstruct.MustView wraps its buffer) yields a view of that argument.
+// Both are computed per parameter as a fixpoint over the package call
+// graph and exported as a Retains object fact, so a helper in membuf
+// or core that caches or wraps its []byte argument is visible from
+// flink. Element reads
 // (v[i]), copy/len/cap, and append(dst, v...) (which copies elements)
 // are not escapes. Unknown callees (function values, interface
 // methods, stdlib) are assumed non-retaining — the direct-call
@@ -38,10 +41,13 @@ import (
 	"gflink/internal/analysis"
 )
 
-// Retains is an object fact: Params[i] reports whether the function
-// retains its i'th parameter (stores it somewhere outliving the call).
+// Retains is an object fact about a function's slice parameters:
+// Params[i] reports whether it retains its i'th parameter (stores it
+// somewhere outliving the call), Returns[i] whether that parameter
+// reaches a result, directly or inside a composite literal.
 type Retains struct {
-	Params []bool
+	Params  []bool
+	Returns []bool
 }
 
 // AFact marks Retains as a fact type.
@@ -60,10 +66,10 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) (interface{}, error) {
 	g := analysis.BuildCallGraph(pass)
 
-	// Per-parameter retention, to fixpoint: a later-declared helper's
-	// retention must be visible when an earlier function passes its
+	// Per-parameter retention and return, to fixpoint: a later-declared
+	// helper's facts must be visible when an earlier function passes its
 	// parameter along.
-	local := make(map[*types.Func][]bool)
+	local := make(map[*types.Func]*Retains)
 	params := make(map[*types.Func][]*types.Var)
 	for _, fi := range g.Decls {
 		sig := fi.Obj.Type().(*types.Signature)
@@ -72,36 +78,41 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			ps[i] = sig.Params().At(i)
 		}
 		params[fi.Obj] = ps
-		local[fi.Obj] = make([]bool, len(ps))
+		local[fi.Obj] = &Retains{Params: make([]bool, len(ps)), Returns: make([]bool, len(ps))}
 	}
-	retainsOf := func(fn *types.Func) []bool {
+	factOf := func(fn *types.Func) *Retains {
 		if r, ok := local[fn]; ok {
 			return r
 		}
 		var fact Retains
 		if pass.ImportObjectFact(fn, &fact) {
-			return fact.Params
+			return &fact
 		}
 		return nil
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range g.Decls {
+			r := local[fi.Obj]
 			for i, p := range params[fi.Obj] {
-				if local[fi.Obj][i] || !isSlice(p.Type()) {
+				if r.Params[i] && r.Returns[i] || !isSlice(p.Type()) {
 					continue
 				}
-				esc := trackEscapes(pass, fi.Decl.Body, p, false, retainsOf, false)
-				if len(esc) > 0 {
-					local[fi.Obj][i] = true
-					changed = true
+				for _, esc := range trackEscapes(pass, fi.Decl.Body, p, false, factOf) {
+					bit := &r.Params[i]
+					if esc.returned {
+						bit = &r.Returns[i]
+					}
+					if !*bit {
+						*bit, changed = true, true
+					}
 				}
 			}
 		}
 	}
 	for _, fi := range g.Decls {
-		if anyTrue(local[fi.Obj]) {
-			pass.ExportObjectFact(fi.Obj, &Retains{Params: local[fi.Obj]})
+		if r := local[fi.Obj]; anyTrue(r.Params) || anyTrue(r.Returns) {
+			pass.ExportObjectFact(fi.Obj, r)
 		}
 	}
 
@@ -124,7 +135,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 		for _, body := range bodies {
-			for _, esc := range trackEscapes(pass, body, nil, true, retainsOf, true) {
+			for _, esc := range trackEscapes(pass, body, nil, true, factOf) {
 				if analysis.DirectiveAt(idx, pass.Fset, "retains-bytes", esc.pos) {
 					continue
 				}
@@ -137,18 +148,20 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // escape is one site where a tracked slice value outlives the frame.
 type escape struct {
-	pos  token.Pos
-	kind string
+	pos      token.Pos
+	kind     string
+	returned bool // returned to the caller, not stored or sent
 }
 
 // trackEscapes scans body for escapes of tracked slice values. When
 // seed is non-nil the tracked value is that parameter; when viewCalls
 // is set, every HBuffer.Bytes()/Raw() call is a tracked value. Local
-// aliases (x := v, x := v[a:b]) are tracked transitively. includeReturn
-// controls whether returning the value counts (it does for views; a
+// aliases (x := v, x := v[a:b], x := f(v) where f returns v) are
+// tracked transitively. Returns are marked: for a view they are an
+// escape, for a parameter they set the Returns fact instead (a
 // function returning its own parameter is the transient-view idiom and
-// the caller's problem).
-func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, viewCalls bool, retainsOf func(*types.Func) []bool, includeReturn bool) []escape {
+// its caller's problem).
+func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, viewCalls bool, factOf func(*types.Func) *Retains) []escape {
 	tracked := make(map[types.Object]bool)
 	if seed != nil {
 		tracked[seed] = true
@@ -156,8 +169,9 @@ func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, vie
 
 	// transmits reports whether evaluating e yields a tracked slice (or
 	// an alias of one): the identifier itself, a re-slice, a slice
-	// conversion, &v[i], a composite literal carrying one, or (for the
-	// view analysis) a Bytes()/Raw() call.
+	// conversion, &v[i], a composite literal carrying one, a call that
+	// returns one of its arguments, or (for the view analysis) a
+	// Bytes()/Raw() call.
 	var transmits func(e ast.Expr) bool
 	transmits = func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
@@ -193,6 +207,15 @@ func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, vie
 					return transmits(e.Args[0])
 				}
 			}
+			if callee := analysis.StaticCallee(pass.TypesInfo, e); callee != nil {
+				if f := factOf(callee); f != nil {
+					for i, a := range e.Args {
+						if pi := paramIndex(callee, i); pi < len(f.Returns) && f.Returns[pi] && transmits(a) {
+							return true
+						}
+					}
+				}
+			}
 			return false
 		}
 		return false
@@ -202,7 +225,7 @@ func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, vie
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
-			lhss, rhss := assignPairs(n)
+			lhss, rhss := assignPairs(pass, n)
 			for i := range lhss {
 				if !transmits(rhss[i]) {
 					continue
@@ -249,18 +272,16 @@ func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, vie
 				add(n.Pos(), "sent on a channel")
 			}
 		case *ast.ReturnStmt:
-			if includeReturn {
-				for _, res := range n.Results {
-					if transmits(res) {
-						add(n.Pos(), "returned to the caller")
-						break
-					}
+			for _, res := range n.Results {
+				if transmits(res) {
+					out = append(out, escape{pos: n.Pos(), kind: "returned to the caller", returned: true})
+					break
 				}
 			}
 		case *ast.CallExpr:
-			checkCall(pass, n, transmits, retainsOf, add)
+			checkCall(pass, n, transmits, factOf, add)
 		default:
-			lhss, rhss := assignPairs(n)
+			lhss, rhss := assignPairs(pass, n)
 			for i := range lhss {
 				if !transmits(rhss[i]) {
 					continue
@@ -288,7 +309,7 @@ func trackEscapes(pass *analysis.Pass, body *ast.BlockStmt, seed *types.Var, vie
 
 // checkCall classifies a call's use of tracked values: appends that
 // alias (not element-copy), and arguments to retaining parameters.
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, transmits func(ast.Expr) bool, retainsOf func(*types.Func) []bool, add func(token.Pos, string)) {
+func checkCall(pass *analysis.Pass, call *ast.CallExpr, transmits func(ast.Expr) bool, factOf func(*types.Func) *Retains, add func(token.Pos, string)) {
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			if b.Name() == "append" {
@@ -308,45 +329,67 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, transmits func(ast.Expr)
 	if callee == nil {
 		return
 	}
-	ret := retainsOf(callee)
-	if len(ret) == 0 {
-		return
-	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
+	f := factOf(callee)
+	if f == nil {
 		return
 	}
 	for i, a := range call.Args {
-		if !transmits(a) {
-			continue
-		}
-		pi := i
-		if sig.Variadic() && pi >= sig.Params().Len()-1 {
-			pi = sig.Params().Len() - 1
-		}
-		if pi < len(ret) && ret[pi] {
+		if pi := paramIndex(callee, i); pi < len(f.Params) && f.Params[pi] && transmits(a) {
 			add(a.Pos(), "passed to "+callee.Name()+", which retains that argument")
 		}
 	}
 }
 
-// assignPairs flattens an assignment-like node into (lhs, rhs) pairs.
-func assignPairs(n ast.Node) (lhs, rhs []ast.Expr) {
+// paramIndex maps argument i of a call to fn onto fn's parameter index,
+// folding trailing variadic arguments onto the last parameter.
+func paramIndex(fn *types.Func, i int) int {
+	sig := fn.Type().(*types.Signature)
+	if n := sig.Params().Len(); sig.Variadic() && i >= n-1 {
+		return n - 1
+	}
+	return i
+}
+
+// assignPairs flattens an assignment-like node into (lhs, rhs) pairs. A
+// tuple assignment (v, err := f(x)) pairs every target with the call,
+// since any result may carry x; targets whose type cannot hold a slice
+// alias (basic types, error) are dropped.
+func assignPairs(pass *analysis.Pass, n ast.Node) (lhs, rhs []ast.Expr) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
-		if len(n.Lhs) == len(n.Rhs) {
-			return n.Lhs, n.Rhs
-		}
+		lhs, rhs = n.Lhs, n.Rhs
 	case *ast.ValueSpec:
-		if len(n.Names) == len(n.Values) {
-			lhs = make([]ast.Expr, len(n.Names))
-			for i, id := range n.Names {
-				lhs[i] = id
-			}
-			return lhs, n.Values
+		for _, id := range n.Names {
+			lhs = append(lhs, id)
+		}
+		rhs = n.Values
+	}
+	if len(rhs) == 1 && len(lhs) > 1 {
+		call := rhs[0]
+		rhs = make([]ast.Expr, len(lhs))
+		for i := range rhs {
+			rhs[i] = call
 		}
 	}
-	return nil, nil
+	if len(lhs) != len(rhs) {
+		return nil, nil
+	}
+	var keepL, keepR []ast.Expr
+	for i, l := range lhs {
+		if t := pass.TypesInfo.TypeOf(l); t == nil || mayAlias(t) {
+			keepL, keepR = append(keepL, l), append(keepR, rhs[i])
+		}
+	}
+	return keepL, keepR
+}
+
+// mayAlias reports whether a value of type t can hold a slice alias:
+// basic types (string conversion copies) and error cannot.
+func mayAlias(t types.Type) bool {
+	if _, basic := t.Underlying().(*types.Basic); basic {
+		return false
+	}
+	return !types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 // lvalueKind classifies an assignment target that receives a tracked

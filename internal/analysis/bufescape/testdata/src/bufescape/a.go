@@ -132,3 +132,77 @@ func crossRead(b *membuf.HBuffer) int {
 func pinnedForRun(s *sink, b *membuf.HBuffer) {
 	s.view = b.Bytes() //gflink:retains-bytes -- s is dropped before the pool reclaims b
 }
+
+// --- views laundered through a call that returns its argument ---
+
+type typed struct {
+	buf []byte
+	n   int
+}
+
+func identity(p []byte) []byte {
+	return p
+}
+
+func newTyped(p []byte, n int) (typed, error) {
+	if len(p) < n {
+		return typed{}, nil
+	}
+	return typed{buf: p, n: n}, nil
+}
+
+// mustTyped mirrors gstruct.MustView: the tuple result still carries p.
+func mustTyped(p []byte, n int) typed {
+	t, err := newTyped(p, n)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+var globalTyped typed
+
+func wrappedView(b *membuf.HBuffer) typed {
+	return mustTyped(b.Bytes(), 4) // want `returned to the caller`
+}
+
+func helperToGlobal(b *membuf.HBuffer) {
+	x := identity(b.Bytes())
+	global = x // want `stored in the global variable "?global`
+}
+
+func wrappedToGlobal(b *membuf.HBuffer) {
+	globalTyped = mustTyped(b.Raw(), 1) // want `stored in the global variable "?globalTyped`
+}
+
+func crossWrapped(b *membuf.HBuffer) dep.Wrapped {
+	return dep.Wrap(b.Bytes()) // want `returned to the caller`
+}
+
+func keepIdentity(s *sink, p []byte) {
+	s.view = identity(p)
+}
+
+func passedRetainedViaReturn(s *sink, b *membuf.HBuffer) {
+	keepIdentity(s, b.Bytes()) // want `passed to keepIdentity, which retains that argument`
+}
+
+// --- calls whose results carry no view stay legal ---
+
+func clone(p []byte) []byte {
+	return append([]byte(nil), p...)
+}
+
+func cloned(b *membuf.HBuffer) []byte {
+	return clone(b.Bytes()) // callee copies: allowed
+}
+
+func errorOnly(b *membuf.HBuffer) error {
+	_, err := newTyped(b.Bytes(), 4)
+	return err // an error cannot alias the view: allowed
+}
+
+func countOnly(b *membuf.HBuffer) int {
+	n := read(b.Bytes())
+	return n // callee only reads: allowed
+}

@@ -26,3 +26,14 @@ func Sum(p []byte) int {
 	}
 	return n
 }
+
+// Wrapped is a typed accessor over a byte slice, like gstruct.View.
+type Wrapped struct {
+	buf []byte
+}
+
+// Wrap returns p inside a Wrapped; importers see that only through the
+// Returns bit of its fact.
+func Wrap(p []byte) Wrapped {
+	return Wrapped{buf: p}
+}

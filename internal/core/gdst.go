@@ -25,8 +25,10 @@ type Block struct {
 	Partition, Index int
 }
 
-// View returns a typed accessor over the block's bytes.
+// View returns a typed accessor over the block's bytes. The view aliases
+// b.Buf: read it before the block is freed, never after.
 func (b *Block) View() gstruct.View {
+	//gflink:retains-bytes -- the block's own accessor; a block and its views die together at FreeBlocks
 	return gstruct.MustView(b.Schema, b.Layout, b.Buf.Bytes(), b.N)
 }
 

@@ -9,6 +9,14 @@
 // paper relies on — fixed page size (matching Flink's memory segments),
 // a bounded pool per worker, page-aligned HBuffers, and the rule that a
 // GStruct never straddles a page boundary (Section 5.1).
+//
+// Freed page spans are recycled so buffer churn stays out of the
+// garbage collector: Free files a span by its page count, and Allocate
+// reuses one of exactly that count, zeroed. A pool holds at most
+// PeakPages-InUsePages spare pages and drops them all when its last
+// buffer is freed. HBuffer handles are never reused, so a freed handle
+// still answers Freed, but any view taken from it may now alias another
+// buffer's pages.
 package membuf
 
 import (
@@ -47,6 +55,11 @@ type Pool struct {
 	pinned  int // pages currently page-locked
 	pinOps  int64
 	nextIDs int64
+
+	// Freed page spans kept for reuse, by page count. spare holds at most
+	// peak-inUse pages, and nothing once inUse reaches 0.
+	spare      map[int][][]byte
+	sparePages int
 }
 
 // NewPool creates a pool on the given clock and hardware model.
@@ -61,8 +74,9 @@ func NewPool(clock *vclock.Clock, model costmodel.Model, cfg Config) *Pool {
 func (p *Pool) PageSize() int { return p.pageSize }
 
 // Allocate returns an HBuffer of at least n bytes (rounded up to whole
-// pages). It fails when the pool's page budget is exhausted, modelling
-// an off-heap OutOfMemory condition.
+// pages), reusing a freed span of the same page count, zeroed, when the
+// pool has one. It fails when the pool's page budget is exhausted,
+// modelling an off-heap OutOfMemory condition.
 func (p *Pool) Allocate(n int) (*HBuffer, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("membuf: allocate %d bytes", n)
@@ -81,11 +95,26 @@ func (p *Pool) Allocate(n int) (*HBuffer, error) {
 	p.allocs++
 	p.nextIDs++
 	id := p.nextIDs
+	var data []byte
+	if s := p.spare[pages]; len(s) > 0 {
+		data = s[len(s)-1]
+		s[len(s)-1] = nil
+		p.spare[pages] = s[:len(s)-1]
+		p.sparePages -= pages
+	} else if p.sparePages > p.peak-p.inUse {
+		// A fresh span would take the footprint past the peak.
+		p.spare, p.sparePages = nil, 0
+	}
 	p.mu.Unlock()
+	if data == nil {
+		data = make([]byte, pages*p.pageSize)
+	} else {
+		clear(data)
+	}
 	return &HBuffer{
 		id:    id,
 		pool:  p,
-		data:  make([]byte, pages*p.pageSize),
+		data:  data,
 		size:  n,
 		pages: pages,
 	}, nil
@@ -208,7 +237,8 @@ func (b *HBuffer) Pinned() bool {
 	return b.pinned
 }
 
-// Free returns the pages to the pool, releasing any page lock first.
+// Free returns the pages to the pool for reuse, releasing any page lock
+// first; the handle's views must not be used afterwards.
 // Double frees panic: the paper's GMemoryManager owns buffer lifetime
 // exactly once.
 func (b *HBuffer) Free() {
@@ -225,8 +255,17 @@ func (b *HBuffer) Free() {
 	}
 	p.inUse -= b.pages
 	p.frees++
-	p.mu.Unlock()
+	if p.inUse == 0 {
+		p.spare, p.sparePages = nil, 0
+	} else {
+		if p.spare == nil {
+			p.spare = make(map[int][][]byte)
+		}
+		p.spare[b.pages] = append(p.spare[b.pages], b.data)
+		p.sparePages += b.pages
+	}
 	b.data = nil
+	p.mu.Unlock()
 }
 
 // Freed reports whether the buffer was released.

@@ -121,33 +121,41 @@ func TestElemsPerPage(t *testing.T) {
 	}
 }
 
-// Property: pool accounting balances — after freeing everything, in-use
-// is zero and peak equals the maximum simultaneous pages.
+// Property: pool accounting matches a model without recycling. Each
+// op either allocates or frees a live buffer; after every op InUse,
+// Peak, Allocs and Frees equal the model's, and after freeing
+// everything in-use is zero.
 func TestPoolAccountingProperty(t *testing.T) {
-	f := func(sizes []uint16) bool {
-		if len(sizes) > 30 {
-			sizes = sizes[:30]
+	f := func(ops []uint16) bool {
+		if len(ops) > 60 {
+			ops = ops[:60]
 		}
 		c, p := newPool(Config{PageSize: 256})
 		ok := true
 		c.Run(func() {
-			var bufs []*HBuffer
-			total := 0
-			peak := 0
-			for _, s := range sizes {
-				n := int(s%4096) + 1
-				b := p.MustAllocate(n)
-				bufs = append(bufs, b)
-				total += b.Pages()
-				if total > peak {
-					peak = total
+			var live []*HBuffer
+			var want Stats
+			for _, op := range ops {
+				if op&1 == 1 && len(live) > 0 {
+					i := int(op>>1) % len(live)
+					want.InUsePages -= live[i].Pages()
+					want.Frees++
+					live[i].Free()
+					live = append(live[:i], live[i+1:]...)
+				} else {
+					b := p.MustAllocate(int(op>>1)%4096 + 1)
+					live = append(live, b)
+					want.InUsePages += b.Pages()
+					want.PeakPages = max(want.PeakPages, want.InUsePages)
+					want.Allocs++
+				}
+				st := p.Stats()
+				if st.InUsePages != want.InUsePages || st.PeakPages != want.PeakPages ||
+					st.Allocs != want.Allocs || st.Frees != want.Frees {
+					ok = false
 				}
 			}
-			st := p.Stats()
-			if st.InUsePages != total || st.PeakPages != peak {
-				ok = false
-			}
-			for _, b := range bufs {
+			for _, b := range live {
 				b.Free()
 			}
 			if p.Stats().InUsePages != 0 {
@@ -158,6 +166,64 @@ func TestPoolAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A freed span comes back, zeroed, to the next allocation of the same
+// page count while the pool still has live pages; the freed handle
+// keeps no view of it.
+func TestFreedSpanIsReusedZeroed(t *testing.T) {
+	_, p := newPool(Config{PageSize: 1024})
+	anchor := p.MustAllocate(1)
+	b := p.MustAllocate(2 * 1024)
+	span := &b.Raw()[0]
+	for i := range b.Raw() {
+		b.Raw()[i] = 0xFF
+	}
+	b.Free()
+	if b.Raw() != nil {
+		t.Error("freed handle still exposes its span")
+	}
+	b2 := p.MustAllocate(2*1024 - 7)
+	if &b2.Raw()[0] != span {
+		t.Error("freed span was not reused for the same page count")
+	}
+	for i, x := range b2.Raw() {
+		if x != 0 {
+			t.Fatalf("reused span byte %d = %#x, want 0", i, x)
+		}
+	}
+	b2.Free()
+	anchor.Free()
+}
+
+// Emptying the pool drops every retained span, so an idle pool holds
+// no spare pages.
+func TestEmptyPoolDropsSpans(t *testing.T) {
+	_, p := newPool(Config{PageSize: 1024})
+	b := p.MustAllocate(1024)
+	span := &b.Raw()[0]
+	b.Free()
+	if p.sparePages != 0 || len(p.spare) != 0 {
+		t.Errorf("empty pool retains %d spare pages", p.sparePages)
+	}
+	b2 := p.MustAllocate(1024)
+	if &b2.Raw()[0] == span {
+		t.Error("allocation after the pool emptied reused a dropped span")
+	}
+	b2.Free()
+}
+
+// With a live anchor, an Allocate+Free cycle reuses its span and
+// allocates exactly one object: the HBuffer shell.
+func TestRecycledAllocateAllocatesOnlyTheShell(t *testing.T) {
+	_, p := newPool(Config{})
+	anchor := p.MustAllocate(1)
+	defer anchor.Free()
+	if got := testing.AllocsPerRun(100, func() {
+		p.MustAllocate(4096).Free()
+	}); got != 1 {
+		t.Errorf("Allocate(4096)+Free = %v allocs, want exactly 1", got)
 	}
 }
 
