@@ -2,8 +2,8 @@
 // paper extends: a master-slave cluster (JobManager + TaskManagers)
 // executing DataSet programs on CPU task slots through the
 // one-element-at-a-time iterator model, with hash shuffles over the
-// simulated network, HDFS sources and sinks, bulk iterations, and task
-// retry on failure.
+// simulated network, HDFS sources, superstep barriers, and task retry
+// on failure.
 //
 // The engine executes programs for real (operators transform real Go
 // values) while charging virtual time per the cost model: per-record

@@ -5,7 +5,7 @@
 // planner passes first:
 //
 //   - operator chaining — maximal runs of consecutive narrow
-//     per-partition nodes (map, filter, flatMap) fuse into one task
+//     per-partition nodes (map, filter) fuse into one task
 //     per partition, so the chain deploys once and charges the
 //     per-record iterator overhead once (Flink's operator chaining;
 //     Options.DisableChaining keeps the unfused path measurable for
@@ -168,16 +168,14 @@ func (gr *Graph) Placement(group string) (Device, bool) {
 }
 
 // nodeKind discriminates plan nodes. Narrow record-at-a-time kinds
-// (map, filter, flatMap) are the chainable ones.
+// (map, filter) are the chainable ones.
 type nodeKind int
 
 const (
 	kSource nodeKind = iota
 	kMap
 	kFilter
-	kFlatMap
 	kReduceByKey
-	kGroupReduce
 	kGPUMap
 	kGPUReduce
 	kEither
@@ -203,7 +201,7 @@ type node struct {
 	group    string
 	chainLen int
 
-	// chainable metadata (kMap, kFilter, kFlatMap)
+	// chainable metadata (kMap, kFilter)
 	perRec   costmodel.Work
 	outBytes int // -1: keep the input record size (filter)
 	rec      func(v any) []any
@@ -216,7 +214,7 @@ type node struct {
 }
 
 func (n *node) chainable() bool {
-	return n.kind == kMap || n.kind == kFilter || n.kind == kFlatMap
+	return n.kind == kMap || n.kind == kFilter
 }
 
 func (k nodeKind) String() string {
@@ -227,12 +225,8 @@ func (k nodeKind) String() string {
 		return "map"
 	case kFilter:
 		return "filter"
-	case kFlatMap:
-		return "flatMap"
 	case kReduceByKey:
 		return "reduceByKey"
-	case kGroupReduce:
-		return "groupReduce"
 	case kGPUMap:
 		return "gpuMap"
 	case kGPUReduce:

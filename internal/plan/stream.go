@@ -70,30 +70,6 @@ func Filter[T any](s *Stream[T], name string, perRec costmodel.Work, pred func(T
 	})
 }
 
-// FlatMap appends a narrow flatMap node (chainable).
-func FlatMap[T, U any](s *Stream[T], name string, perRec costmodel.Work, outBytes int, f func(T) []U) *Stream[U] {
-	return newStream[U](s.gr, &node{
-		kind:     kFlatMap,
-		name:     name,
-		up:       s.n,
-		perRec:   perRec,
-		outBytes: outBytes,
-		run: func(ctx *Ctx, in any) any {
-			return flink.FlatMap(in.(*flink.Dataset[T]), name, perRec, outBytes, f)
-		},
-		rec: func(v any) []any {
-			us := f(v.(T))
-			out := make([]any, len(us))
-			for i, u := range us {
-				out[i] = u
-			}
-			return out
-		},
-		erase: erasePartitions[T],
-		build: buildDataset[U],
-	})
-}
-
 // ReduceByKey appends a combinable key reduction — a wide node: it
 // barriers chaining on both sides (the shuffle is a hard stage
 // boundary, as in Flink).
@@ -104,18 +80,6 @@ func ReduceByKey[T any, K comparable](s *Stream[T], name string, perRec costmode
 		up:   s.n,
 		run: func(ctx *Ctx, in any) any {
 			return flink.ReduceByKey(in.(*flink.Dataset[T]), name, perRec, key, combine)
-		},
-	})
-}
-
-// GroupReduce appends a non-combinable grouped reduction (wide node).
-func GroupReduce[T any, K comparable, U any](s *Stream[T], name string, perRec costmodel.Work, outBytes int, key func(T) K, reduce func(K, []T) U) *Stream[U] {
-	return newStream[U](s.gr, &node{
-		kind: kGroupReduce,
-		name: "groupReduce:" + name,
-		up:   s.n,
-		run: func(ctx *Ctx, in any) any {
-			return flink.GroupReduce(in.(*flink.Dataset[T]), name, perRec, outBytes, key, reduce)
 		},
 	})
 }
@@ -166,12 +130,5 @@ func Sink[T any](s *Stream[T], name string, fn func(ctx *Ctx, d *flink.Dataset[T
 			fn(ctx, in.(*flink.Dataset[T]))
 			return nil
 		},
-	})
-}
-
-// WriteHDFS appends an HDFS sink node.
-func WriteHDFS[T any](s *Stream[T], file string) {
-	Sink(s, "hdfs:"+file, func(ctx *Ctx, d *flink.Dataset[T]) {
-		flink.WriteHDFS(d, file)
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"gflink/internal/core"
-	"gflink/internal/costmodel"
 	"gflink/internal/flink"
 	"gflink/internal/gstruct"
 	"gflink/internal/kernels"
@@ -77,76 +76,38 @@ func initialCentroids(seed uint64, k, d int) []float32 {
 	return cents
 }
 
-// centroidChecksum fingerprints a centroid set.
-func centroidChecksum(cents []float32) float64 {
-	var s float64
-	for i, v := range cents {
-		s += float64(v) * float64(i+1)
-	}
-	return s
-}
-
-// kmeansStageCost estimates the assign stage for auto placement: the
-// points cross PCIe once (then stay cached when UseCache holds), the
-// centroids are streamed per device per iteration, and each iteration
-// returns one partial-sums record per launch.
-func kmeansStageCost(g *core.GFlink, p KMeansParams) costmodel.StageCost {
-	cpuLanes, gpuLanes := planLanes(g, p.Parallelism)
-	pointBytes := p.Points * int64(p.pointBytes())
-	blockBytes := g.Cfg.MaxBlockNominal
-	if blockBytes <= 0 {
-		blockBytes = 128 << 20
-	}
-	launches := (pointBytes + blockBytes - 1) / blockBytes
-	// With column projection enabled only the D coordinate columns cross
-	// PCIe; the MetaCols tail stays on the host.
-	var projected int64
-	if g.Cfg.EnableProjection && p.MetaCols > 0 {
-		projected = p.Points * int64(4*p.D)
-	}
-	return costmodel.StageCost{
-		Records:        p.Points,
-		CPUPerRec:      kernels.KMeansWork(p.K, p.D),
-		GPUWork:        kernels.KMeansWork(p.K, p.D).Scale(float64(p.Points)),
-		HostToDevice:   pointBytes,
-		ProjectedH2D:   projected,
-		H2DStreamed:    int64(4 * p.K * p.D * gpuLanes),
-		DeviceToHost:   int64(4*p.K*(p.D+1)) * launches,
-		Launches:       launches,
-		Executions:     int64(p.Iterations),
-		CacheResident:  p.UseCache,
-		CPUParallelism: cpuLanes,
-		GPUParallelism: gpuLanes,
-	}
-}
-
-// KMeans runs Lloyd iterations through the plan layer as one pipeline.
-// The source and the per-iteration assign stage are Either nodes in the
-// "assign" placement group: the CPU body keeps the points as engine
-// partitions and assigns through the iterator model, the GPU body
-// builds SoA GDST blocks and launches the fused assign-reduce kernel.
-// Forced modes reproduce the former KMeansCPU/KMeansGPU drivers
-// exactly; Auto lets the cost model pick.
+// KMeans runs Lloyd iterations through the plan layer as one pipeline
+// (see runFit) in the "assign" placement group: the CPU body assigns
+// engine partitions through the iterator model, the GPU body launches
+// the fused assign-reduce kernel over SoA GDST blocks. Forced modes
+// reproduce the former eager KMeansCPU/KMeansGPU drivers exactly; Auto
+// lets the cost model pick.
 func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 	p.defaults()
-	c := g.Cluster
-	start := c.Clock.Now()
-	res := Result{}
-	cents := initialCentroids(p.Seed, p.K, p.D)
-	perRec := kernels.KMeansWork(p.K, p.D)
-	workers := g.Cfg.Config.Workers
-
-	// Branch-local state: the CPU placement materializes points as an
-	// engine dataset, the GPU placement as SoA GDST blocks.
-	var points *flink.Dataset[[]float32]
-	var ds core.GDST
-	var partialSchema *gstruct.Schema
-
-	gr := plan.NewGraph(g, "kmeans-"+opts.Mode.String(), opts)
-	gr.PlaceGroup("assign", kmeansStageCost(g, p))
-	plan.EitherDo(gr, "points", "assign",
-		func(ctx *plan.Ctx) {
-			points = flink.Generate(ctx.Job, "points", p.Points, p.pointBytes(), p.Parallelism, func(part int, ord int64) []float32 {
+	cents, res := runFit(g, fit{
+		name: "kmeans", source: "points", loop: "lloyd", step: "assign",
+		iterations: p.Iterations, par: p.Parallelism,
+		// Only the D coordinate columns are read; projection keeps the
+		// MetaCols tail on the host.
+		records: p.Points, recBytes: p.pointBytes(), readBytes: 4 * p.D,
+		model:   initialCentroids(p.Seed, p.K, p.D),
+		partial: p.K * (p.D + 1),
+		perRec:  kernels.KMeansWork(p.K, p.D),
+		cpu: func(recs [][]float32, cents []float32) []float32 {
+			return kernels.CPUKMeansAssign(recs, cents, p.K, p.D)
+		},
+		kernel: core.GPUMapSpec{
+			Name:   "kmeansAssign",
+			Kernel: kernels.KMeansAssignKernel,
+			OutSchema: gstruct.MustNew(fmt.Sprintf("KPartial%dx%d", p.K, p.D), 4,
+				gstruct.Field{Name: "sums", Kind: gstruct.Float32, Len: p.K * (p.D + 1)}),
+			OutLayout:    gstruct.AoS,
+			CacheInput:   p.UseCache,
+			Args:         []int64{int64(p.K), int64(p.D)},
+			KernelPerRec: kernels.KMeansWork(p.K, p.D),
+		},
+		cpuData: func(j *flink.Job) *flink.Dataset[[]float32] {
+			return flink.Generate(j, "points", p.Points, p.pointBytes(), p.Parallelism, func(part int, ord int64) []float32 {
 				pt := make([]float32, p.D)
 				for jj := 0; jj < p.D; jj++ {
 					pt[jj] = kmeansCoord(p.Seed, ord, jj, p.K)
@@ -154,11 +115,10 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 				return pt
 			})
 		},
-		func(ctx *plan.Ctx) {
+		gpuData: func(j *flink.Job) core.GDST {
 			// MetaCols > 0 widens the schema with trailing metadata columns
 			// the assign kernel never reads.
-			schema := kernels.PointSchema(p.D + p.MetaCols)
-			ds = core.NewGDST(g, ctx.Job, schema, gstruct.SoA, p.Points, p.Parallelism, func(part int, v gstruct.View, i int, ord int64) {
+			return core.NewGDST(g, j, kernels.PointSchema(p.D+p.MetaCols), gstruct.SoA, p.Points, p.Parallelism, func(part int, v gstruct.View, i int, ord int64) {
 				for jj := 0; jj < p.D; jj++ {
 					v.PutFloat32At(i, jj, 0, kmeansCoord(p.Seed, ord, jj, p.K))
 				}
@@ -166,93 +126,24 @@ func KMeans(g *core.GFlink, p KMeansParams, opts plan.Options) Result {
 					v.PutFloat32At(i, jj, 0, unit(p.Seed+777, uint64(ord)*53+uint64(jj)))
 				}
 			})
-			partialSchema = gstruct.MustNew(fmt.Sprintf("KPartial%dx%d", p.K, p.D), 4,
-				gstruct.Field{Name: "sums", Kind: gstruct.Float32, Len: p.K * (p.D + 1)})
-		})
-	iters := plan.Iterate(gr, "lloyd", p.Iterations, func(it int, sub *plan.Graph) {
-		plan.Do(sub, "stage-in", func(ctx *plan.Ctx) {
+		},
+		update: func(sums, cents []float32) []float32 {
+			return kernels.UpdateCentroids(sums, cents, p.K, p.D)
+		},
+		stageIn: func(it int, j *flink.Job) {
 			if it == 0 && p.FromHDFS {
 				// Fig 7a: the first iteration reads the points from HDFS.
-				stageRead(g, ctx.Job, "kmeans-input", p.Points*int64(p.pointBytes()), p.Parallelism)
+				stageRead(g, j, "kmeans-input", p.Points*int64(p.pointBytes()), p.Parallelism)
 			}
-		})
-		plan.EitherDo(sub, "assign", "assign",
-			func(ctx *plan.Ctx) {
-				j := ctx.Job
-				j.Broadcast(int64(p.K * p.D * 4))
-				centsNow := cents
-				tm0 := c.Clock.Now()
-				// Partial sums are one fixed-size record per partition at any
-				// scale, so nominal output is 1 (not the input's nominal count).
-				partials := flink.ProcessPartitions(points, "assign", 4*p.K*(p.D+1), func(pi, worker int, in flink.Partition[[]float32]) ([][]float32, int64) {
-					j.ChargeCompute(in.Nominal, perRec)
-					return [][]float32{kernels.CPUKMeansAssign(in.Items, centsNow, p.K, p.D)}, 1
-				})
-				merged := make([]float32, p.K*(p.D+1))
-				for _, part := range flink.Collect(partials) {
-					kernels.MergePartials(merged, part)
-				}
-				res.MapPhase = c.Clock.Now() - tm0
-				cents = kernels.UpdateCentroids(merged, cents, p.K, p.D)
-			},
-			func(ctx *plan.Ctx) {
-				j := ctx.Job
-				// Centroids are consumed by the kernel as a flat c*d+j float
-				// array; write them raw into an off-heap buffer and broadcast.
-				centBuf := c.TaskManagers[0].Pool.MustAllocate(4 * p.K * p.D)
-				for i, v := range cents {
-					putRawF32(centBuf.Bytes(), i, v)
-				}
-				perWorker := core.BroadcastBuffer(g, j, centBuf, int64(4*p.K*p.D))
-				tm0 := c.Clock.Now()
-				partials := core.GPUReducePartition(g, ds, core.GPUMapSpec{
-					Name:         "kmeansAssign",
-					Kernel:       kernels.KMeansAssignKernel,
-					OutSchema:    partialSchema,
-					OutLayout:    gstruct.AoS,
-					CacheInput:   p.UseCache,
-					Args:         []int64{int64(p.K), int64(p.D)},
-					KernelPerRec: kernels.KMeansWork(p.K, p.D),
-					Extra: func(b *core.Block) []core.Input {
-						return []core.Input{{
-							Buf:     perWorker[b.Partition%workers],
-							Nominal: int64(4 * p.K * p.D),
-						}}
-					},
-				}, 1)
-				merged := make([]float32, p.K*(p.D+1))
-				for _, blk := range core.CollectBlocks(partials) {
-					v := blk.View()
-					for i := range merged {
-						merged[i] += v.Float32At(0, 0, i)
-					}
-				}
-				res.MapPhase = c.Clock.Now() - tm0
-				core.FreeBlocks(partials)
-				for _, b := range perWorker {
-					b.Free()
-				}
-				centBuf.Free()
-				cents = kernels.UpdateCentroids(merged, cents, p.K, p.D)
-			})
-		plan.Do(sub, "sink", func(ctx *plan.Ctx) {
+		},
+		sink: func(it int, j *flink.Job) {
 			if it == p.Iterations-1 && p.WriteResult {
 				// HiBench KMeans writes the per-point cluster assignments.
 				writeResult(g, "kmeans-output", p.Points*8)
 			}
-		})
-	})
-	plan.EitherDo(gr, "cleanup", "assign",
-		func(ctx *plan.Ctx) {},
-		func(ctx *plan.Ctx) {
-			g.ReleaseJobCaches(ctx.Job.ID)
-			core.FreeBlocks(ds)
-		})
-	gr.Execute()
-
-	res.Iterations = iters.Durations
-	res.Total = c.Clock.Now() - start
-	res.Checksum = centroidChecksum(cents)
+		},
+	}, opts)
+	res.Checksum = checksum(cents, 0)
 	return res
 }
 

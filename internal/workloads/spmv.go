@@ -104,14 +104,6 @@ func buildSpMVParts(p SpMVParams, par, nReal int) []spmvPart {
 	return parts
 }
 
-func vectorChecksum(x []float32) float64 {
-	var s float64
-	for i, v := range x {
-		s += float64(v) * float64(i%97+1)
-	}
-	return s
-}
-
 // initialVector is the deterministic starting x.
 func initialVector(seed uint64, nReal int) []float32 {
 	x := make([]float32, nReal)
@@ -388,7 +380,7 @@ func SpMV(g *core.GFlink, p SpMVParams, opts plan.Options) Result {
 
 	res.Iterations = iters.Durations
 	res.Total = c.Clock.Now() - start
-	res.Checksum = vectorChecksum(x)
+	res.Checksum = checksum(x, 97)
 	return res
 }
 

@@ -1,14 +1,13 @@
 // Package workloads implements the paper's six evaluation benchmarks
 // (Table 1: KMeans, PageRank, WordCount, ComponentConnect,
 // LinearRegression, SpMV) plus the PointAdd microbenchmark of
-// Algorithm 3.1 and Fig 8, each in two variants:
+// Algorithm 3.1 and Fig 8. Each is one plan pipeline, X(g, p,
+// plan.Options), whose Either stages run either on the baseline Flink
+// engine (iterator execution model, per-record overheads) or as GWorks
+// over GDST blocks and the GPU cache; the XCPU and XGPU functions are
+// forced-placement wrappers.
 //
-//   - a CPU driver on the baseline Flink engine (iterator execution
-//     model, per-record overheads), and
-//   - a GFlink driver using GDST blocks, GWork submission and the GPU
-//     cache.
-//
-// Both variants compute over identical real (scaled-down) data so
+// Both placements compute over identical real (scaled-down) data so
 // results are comparable; the shapes the paper reports emerge from the
 // cost models, not from scripted numbers.
 package workloads
@@ -124,6 +123,20 @@ func mix(seed, x uint64) uint64 {
 // unit maps (seed, ordinal) to a float32 in [0, 1).
 func unit(seed, x uint64) float32 {
 	return float32(mix(seed, x)>>40) / float32(1<<24)
+}
+
+// checksum fingerprints a vector as the sum of v[i]·(i mod period + 1),
+// for CPU/GPU equivalence checks; period 0 never wraps.
+func checksum[V float32 | uint32](v []V, period int) float64 {
+	var s float64
+	for i, x := range v {
+		w := i
+		if period > 0 {
+			w = i % period
+		}
+		s += float64(x) * float64(w+1)
+	}
+	return s
 }
 
 // planLanes returns the lane counts placement estimates divide a stage
